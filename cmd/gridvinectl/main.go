@@ -68,7 +68,7 @@ func cmdDeploy(args []string) error {
 	fs.IntVar(&spec.Peers, "peers", 16, "total overlay peers")
 	fs.IntVar(&spec.ReplicaFactor, "replicas", 2, "overlay replication factor")
 	fs.Int64Var(&spec.Seed, "seed", 1, "deterministic overlay seed")
-	fs.IntVar(&spec.SnapshotEvery, "snapshot-every", 0, "journal snapshot cadence (0 = default)")
+	fs.IntVar(&spec.SnapshotEvery, "snapshot-every", 0, "minimum WAL records between journal snapshots; a snapshot also waits until the WAL has grown as large as the last snapshot, so recovery replays at most about one snapshot's worth of WAL (0 = default 256, <0 = only at shutdown)")
 	fs.DurationVar(&spec.ReadyTimeout, "ready-timeout", 60*time.Second, "readiness wait")
 	fs.Parse(args) //nolint:errcheck
 	if spec.Dir == "" || spec.BinPath == "" {
@@ -160,12 +160,14 @@ func cmdStats(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d\n",
+		fmt.Printf("daemon %d: peers=%d uptime=%s draining=%v queries=%d writes=%d rows=%d active=%d/%d conns=%d rejected=%d compose=%d/%d hit/miss inval=%d entries=%d snapshots=%d snapshot_time=%s snapshot_bytes=%d wal_bytes=%d\n",
 			st.Daemon, len(st.Peers), (time.Duration(st.UptimeMillis) * time.Millisecond).Round(time.Second),
 			st.Draining, st.QueriesServed, st.WritesServed, st.RowsStreamed,
 			st.ActiveQueries, st.ActiveWrites,
 			st.ActiveConns, st.ConnsRejected,
-			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries)
+			st.ComposeHits, st.ComposeMisses, st.ComposeInvalidations, st.ComposeEntries,
+			st.Snapshots, (time.Duration(st.SnapshotMicros) * time.Microsecond).Round(time.Millisecond),
+			st.SnapshotBytes, st.WALBytes)
 		return nil
 	})
 }

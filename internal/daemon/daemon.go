@@ -321,7 +321,7 @@ func Start(cfg Config) (*Daemon, error) {
 
 	hosted := make([]wire.Hosted, len(d.hosted))
 	for i, h := range d.hosted {
-		hosted[i] = wire.Hosted{Peer: h.peer, Digest: h.peer.Node().ContentDigest, WALSeq: h.log.Seq}
+		hosted[i] = wire.Hosted{Peer: h.peer, Digest: h.peer.Node().ContentDigest, WALSeq: h.log.Seq, SnapshotStats: h.log.SnapshotStats}
 	}
 	d.server = wire.NewServerOptions(cfg.Index, hosted, wire.Options{MaxConns: cfg.MaxConns})
 	go func() {

@@ -274,6 +274,15 @@ func TestDaemonColdStartServesAndDumps(t *testing.T) {
 	if len(dump.Peers) != 4 {
 		t.Fatalf("dump covers %d peers, want 4", len(dump.Peers))
 	}
+	// The journals' snapshot counters reach DaemonStats: the write is
+	// in the WAL, and two records are far below the snapshot trigger.
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if st.WALBytes == 0 || st.Snapshots != 0 {
+		t.Fatalf("stats report %d WAL bytes and %d snapshots after one small write", st.WALBytes, st.Snapshots)
+	}
 	if err := d.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}

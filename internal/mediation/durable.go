@@ -26,7 +26,10 @@ import (
 // repair bytes after recovery rather than assuming zero. Deletes of
 // values that were never present locally leave a tombstone without a
 // store change; those fire no hook and are durable only from the next
-// snapshot onward.
+// snapshot onward. Snapshots are amortized (store.Options.SnapshotEvery:
+// one fires only once the WAL has grown as large as the last snapshot),
+// so on a large store that window spans many more writes than the
+// record count alone suggests.
 
 // NewDurablePeer wraps a fresh overlay node with mediation behaviour,
 // loads the recovered state from rec into it (a nil rec or an empty
@@ -96,15 +99,16 @@ func (p *Peer) RestoreFromRecovery(rec *store.Recovery) error {
 func (p *Peer) AttachLog(l *store.Log) {
 	l.SetSnapshotSource(func() (items, tombs []store.Entry) {
 		si, st := p.node.DumpState()
-		items = make([]store.Entry, len(si))
+		// One backing array, tombstones right after items, so the
+		// snapshot encodes it without copying the two together.
+		all := make([]store.Entry, len(si)+len(st))
 		for i, it := range si {
-			items[i] = store.Entry{Op: store.OpInsert, Key: it.Key, Value: it.Value}
+			all[i] = store.Entry{Op: store.OpInsert, Key: it.Key, Value: it.Value}
 		}
-		tombs = make([]store.Entry, len(st))
 		for i, tb := range st {
-			tombs[i] = store.Entry{Op: store.OpDelete, Key: tb.Key, Value: tb.Value}
+			all[len(si)+i] = store.Entry{Op: store.OpDelete, Key: tb.Key, Value: tb.Value}
 		}
-		return items, tombs
+		return all[:len(si)], all[len(si):]
 	})
 	p.walMu.Lock()
 	p.wal = l

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"gridvine/internal/triple"
@@ -68,6 +69,19 @@ func referenceDigests(batches []crashBatch) []uint64 {
 
 var crashOpts = Options{SnapshotEvery: 3}
 
+// snapRenameCounter counts the renames that install a snapshot.
+type snapRenameCounter struct {
+	*FaultFS
+	renames int
+}
+
+func (f *snapRenameCounter) Rename(oldname, newname string) error {
+	if filepath.Base(newname) == snapFile {
+		f.renames++
+	}
+	return f.FaultFS.Rename(oldname, newname)
+}
+
 // feedUntilFailure runs the workload against a DurableDB on fsys until
 // the first durability failure (or completion) and returns the number
 // of batches durably acked — appends whose write+fsync returned nil.
@@ -109,7 +123,7 @@ func TestCrashMatrix(t *testing.T) {
 	refs := referenceDigests(batches)
 
 	// Clean run: counts the op universe and sanity-checks the workload.
-	clean := NewFaultFS(1)
+	clean := &snapRenameCounter{FaultFS: NewFaultFS(1)}
 	if acked := feedUntilFailure(clean, batches); acked != uint64(len(batches)) {
 		t.Fatalf("clean run acked %d of %d batches", acked, len(batches))
 	}
@@ -117,6 +131,12 @@ func TestCrashMatrix(t *testing.T) {
 	if totalOps < 2*nBatches {
 		t.Fatalf("implausibly few ops in clean run: %d", totalOps)
 	}
+	// The matrix must cross snapshot boundaries, or a change to the
+	// snapshot trigger could silently drop them from coverage.
+	if clean.renames == 0 {
+		t.Fatalf("clean run under %+v crossed no snapshot rename", crashOpts)
+	}
+	t.Logf("%d crash points, %d snapshot renames", totalOps, clean.renames)
 
 	for _, torn := range []bool{false, true} {
 		truncations := 0

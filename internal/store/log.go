@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sync"
+	"time"
 )
 
 // Log file layout inside a log directory.
@@ -17,9 +18,14 @@ const (
 
 // Options tunes a Log.
 type Options struct {
-	// SnapshotEvery is the number of appended records after which
-	// MaybeSnapshot takes a snapshot and truncates the WAL. 0 selects
-	// the default (256); negative disables automatic snapshots.
+	// SnapshotEvery is the minimum number of records appended since
+	// the last snapshot before MaybeSnapshot takes a new one and
+	// truncates the WAL. It also waits until the WAL bytes made durable
+	// since that snapshot reach the snapshot's own size on disk, so
+	// snapshot work stays proportional to the WAL volume rather than to
+	// state size × record count, and crash recovery replays at most
+	// about one snapshot's worth of WAL. 0 selects the default (256);
+	// negative disables automatic snapshots.
 	SnapshotEvery int
 	// NoGroupCommit makes every Append pay its own fsync while holding
 	// the log lock (the pre-group-commit behaviour). Kept as the
@@ -89,7 +95,11 @@ type Log struct {
 	pendingRecs int
 	flushing    bool // a leader is writing+fsyncing outside the lock
 	syncs       int64
-	sinceSnap   int
+	sinceSnap   int   // records made durable since the last snapshot
+	walBytes    int64 // WAL bytes made durable since the last snapshot
+	snapBytes   int64 // size of the last snapshot on disk
+	snapshots   int64
+	snapTime    time.Duration
 	snapEvery   int
 	serial      bool // Options.NoGroupCommit
 	source      func() (items, tombs []Entry)
@@ -111,8 +121,10 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 
 	rec := &Recovery{}
 	var snapSeq uint64
+	var snapBytes int64
 	snapPath := filepath.Join(dir, snapFile)
 	if data, err := fsys.ReadFile(snapPath); err == nil {
+		snapBytes = int64(len(data))
 		snap, derr := decodeSnapshot(data)
 		if derr != nil {
 			// A crash cannot produce a corrupt snapshot (it is written
@@ -176,6 +188,8 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		seq:        lastSeq,
 		flushedSeq: lastSeq,
 		sinceSnap:  rec.Records,
+		walBytes:   int64(goodLen),
+		snapBytes:  snapBytes,
 		snapEvery:  snapEvery,
 		serial:     opts.NoGroupCommit,
 	}
@@ -218,7 +232,9 @@ func decodeSnapshot(data []byte) (snapshotRecord, error) {
 // SetSnapshotSource registers the function that produces the full
 // store state (live items plus tombstones) for snapshots. It must be
 // set before Snapshot/MaybeSnapshot are used; it is called without any
-// Log-external locks held by the Log itself.
+// Log-external locks held by the Log itself. A source that builds both
+// slices in one backing array, tombs directly after items, lets the
+// snapshot encode them in place instead of copying them together.
 func (l *Log) SetSnapshotSource(fn func() (items, tombs []Entry)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -302,6 +318,7 @@ func (l *Log) flushPendingLocked() error {
 	} else {
 		l.flushedSeq = target
 		l.sinceSnap += recs
+		l.walBytes += int64(len(group))
 		l.syncs++
 	}
 	l.cond.Broadcast()
@@ -309,13 +326,14 @@ func (l *Log) flushPendingLocked() error {
 	return werr
 }
 
-// MaybeSnapshot takes a snapshot if at least SnapshotEvery records
-// accumulated since the last one. Call it after applying an appended
-// batch to the store, so the snapshot source covers it.
+// MaybeSnapshot takes a snapshot once at least SnapshotEvery records
+// and at least the last snapshot's size in WAL bytes have been made
+// durable since it. Call it after applying an appended batch to the
+// store, so the snapshot source covers it.
 func (l *Log) MaybeSnapshot() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.snapEvery < 0 || l.sinceSnap < l.snapEvery || l.source == nil {
+	if l.snapEvery < 0 || l.sinceSnap < l.snapEvery || l.walBytes < l.snapBytes || l.source == nil {
 		return l.err
 	}
 	return l.snapshotLocked()
@@ -351,11 +369,9 @@ func (l *Log) snapshotLocked() error {
 	if l.source == nil {
 		return errors.New("store: no snapshot source registered")
 	}
+	start := time.Now()
 	items, tombs := l.source()
-	entries := make([]Entry, 0, len(items)+len(tombs))
-	entries = append(entries, items...)
-	entries = append(entries, tombs...)
-	buf, err := encodeRecord(Record{Seq: l.seq, Entries: entries})
+	buf, err := encodeRecord(Record{Seq: l.seq, Entries: joinEntries(items, tombs)})
 	if err != nil {
 		l.err = err
 		l.cond.Broadcast()
@@ -398,11 +414,28 @@ func (l *Log) snapshotLocked() error {
 	}
 	l.wal = wal
 	l.sinceSnap = 0
+	l.walBytes = 0
+	l.snapBytes = int64(len(buf))
+	l.snapshots++
+	l.snapTime += time.Since(start)
 	l.pending = nil
 	l.pendingRecs = 0
 	l.flushedSeq = l.seq
 	l.cond.Broadcast()
 	return nil
+}
+
+// joinEntries returns items followed by tombs as one slice, reusing
+// the backing array when tombs already directly follows items in it.
+func joinEntries(items, tombs []Entry) []Entry {
+	n := len(items) + len(tombs)
+	switch {
+	case len(tombs) == 0:
+		return items
+	case cap(items) >= n && &items[:len(items)+1][len(items)] == &tombs[0]:
+		return items[:n]
+	}
+	return append(append(make([]Entry, 0, n), items...), tombs...)
 }
 
 // Err returns the sticky error, if any. A non-nil Err means some
@@ -440,6 +473,22 @@ func (l *Log) Syncs() int64 {
 	return l.syncs
 }
 
+// SnapshotStats describes a log's snapshot work.
+type SnapshotStats struct {
+	Snapshots int64         // snapshots taken since Open
+	Time      time.Duration // cumulative dump + encode + write + fsync time
+	LastBytes int64         // size of the newest snapshot on disk
+	WALBytes  int64         // WAL bytes made durable since that snapshot
+}
+
+// SnapshotStats reports the snapshot count and cost since Open, and
+// the two sizes the amortized trigger compares.
+func (l *Log) SnapshotStats() SnapshotStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return SnapshotStats{Snapshots: l.snapshots, Time: l.snapTime, LastBytes: l.snapBytes, WALBytes: l.walBytes}
+}
+
 // Close flushes any staged records, then closes the WAL handle. The
 // log cannot be used afterwards.
 func (l *Log) Close() error {
@@ -470,6 +519,7 @@ func (l *Log) Close() error {
 		} else {
 			l.flushedSeq = target
 			l.sinceSnap += recs
+			l.walBytes += int64(len(group))
 			l.syncs++
 		}
 	}

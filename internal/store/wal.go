@@ -61,19 +61,22 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // record.
 var errBadRecord = errors.New("store: bad WAL record")
 
-// encodeRecord frames one record for appending.
+// encodeRecord frames one record for appending. The header is
+// reserved ahead of the gob payload and filled in place, so the frame
+// is built in the encoder's own buffer without a second copy.
 func encodeRecord(rec Record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	var frame bytes.Buffer
+	frame.Write(make([]byte, frameHeader))
+	if err := gob.NewEncoder(&frame).Encode(rec); err != nil {
 		return nil, fmt.Errorf("store: encode WAL record: %w", err)
 	}
-	if payload.Len() > maxRecordSize {
-		return nil, fmt.Errorf("store: WAL record too large (%d bytes)", payload.Len())
+	buf := frame.Bytes()
+	payload := buf[frameHeader:]
+	if len(payload) > maxRecordSize {
+		return nil, fmt.Errorf("store: WAL record too large (%d bytes)", len(payload))
 	}
-	buf := make([]byte, frameHeader+payload.Len())
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	copy(buf[frameHeader:], payload.Bytes())
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
 	return buf, nil
 }
 

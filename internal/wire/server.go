@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridvine/internal/mediation"
+	"gridvine/internal/store"
 )
 
 // chunkRows is how many rows ride one RowChunk frame.
@@ -24,6 +25,9 @@ type Hosted struct {
 	Digest func() uint64
 	// WALSeq returns the peer journal's durable sequence number.
 	WALSeq func() uint64
+	// SnapshotStats reports the peer journal's snapshot work; nil
+	// leaves the peer out of DaemonStats' snapshot sums.
+	SnapshotStats func() store.SnapshotStats
 }
 
 // Options tunes a server's connection handling.
@@ -454,11 +458,19 @@ func (s *Server) statsSnapshot(id uint64) *DaemonStats {
 		RowsStreamed:  s.rowsStreamed.Load(),
 	}
 	for _, pid := range s.order {
-		cs := s.hosted[pid].Peer.ComposeStats()
+		h := s.hosted[pid]
+		cs := h.Peer.ComposeStats()
 		out.ComposeHits += cs.Hits
 		out.ComposeMisses += cs.Misses
 		out.ComposeInvalidations += cs.Invalidations
 		out.ComposeEntries += cs.Entries
+		if h.SnapshotStats != nil {
+			ss := h.SnapshotStats()
+			out.Snapshots += ss.Snapshots
+			out.SnapshotMicros += ss.Time.Microseconds()
+			out.SnapshotBytes += ss.LastBytes
+			out.WALBytes += ss.WALBytes
+		}
 	}
 	return out
 }

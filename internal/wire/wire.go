@@ -183,6 +183,13 @@ type DaemonStats struct {
 	ComposeMisses        uint64
 	ComposeInvalidations uint64
 	ComposeEntries       int
+	// Journal snapshot counters, summed over the hosted peers that
+	// report them: snapshots taken, their cumulative dump-to-fsync
+	// time, the newest snapshots' sizes, and WAL bytes since them.
+	Snapshots      int64
+	SnapshotMicros int64
+	SnapshotBytes  int64
+	WALBytes       int64
 }
 
 // DumpReq asks for per-peer store dumps; Peer narrows to one hosted
