@@ -328,8 +328,9 @@ func BenchmarkSearchFor(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchWithReformulation measures a query traversing a 3-mapping
-// chain, at the default fan-out width and serially.
+// BenchmarkSearchWithReformulation measures a reformulated pattern query
+// (Query drained by CollectPattern) traversing a 3-mapping chain, at the
+// default fan-out width and serially.
 func BenchmarkSearchWithReformulation(b *testing.B) {
 	net := benchNetwork(b, 64)
 	p := net.Peer(0)

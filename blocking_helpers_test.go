@@ -2,9 +2,8 @@ package gridvine
 
 import "context"
 
-// Test-side ports of the deprecated blocking search wrappers: facade tests
-// and benchmarks exercise Query plus the Collect drain helpers — the
-// supported surface — instead of the deprecated methods.
+// Whole-answer test helpers: facade tests and benchmarks drive Query and
+// drain the cursor through the Collect* helpers.
 
 func blockingSearchFor(p *Peer, q Pattern) (*ResultSet, error) {
 	ctx := context.Background()

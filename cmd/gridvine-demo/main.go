@@ -158,7 +158,7 @@ func main() {
 }
 
 // searchReformulated runs one reformulating pattern query through the
-// streaming entry point and drains it into the blocking-era aggregate.
+// streaming entry point and drains it into the whole-answer aggregate.
 func searchReformulated(ctx context.Context, p *gridvine.Peer, q gridvine.Pattern) (*gridvine.ResultSet, error) {
 	cur, err := p.Query(ctx, mediation.Request{Pattern: &q, Reformulate: true})
 	if err != nil {

@@ -31,8 +31,7 @@ func bulkInsert(issuer *mediation.Peer, ts []triple.Triple) error {
 
 // searchConjunctiveSet runs a conjunctive query through the streaming
 // engine and drains it into the sorted binding-set form the experiment
-// tables aggregate — the migrated shape of the old blocking
-// SearchConjunctiveSet entry point.
+// tables aggregate.
 func searchConjunctiveSet(ctx context.Context, issuer *mediation.Peer, patterns []triple.Pattern, reformulate bool, opts mediation.SearchOptions) (*triple.BindingSet, mediation.ConjunctiveStats, error) {
 	cur, err := issuer.Query(ctx, mediation.Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
 	if err != nil {
@@ -41,9 +40,8 @@ func searchConjunctiveSet(ctx context.Context, issuer *mediation.Peer, patterns 
 	return mediation.CollectSet(ctx, cur)
 }
 
-// searchFor resolves one pattern without reformulation and drains the
-// stream into the aggregate ResultSet — the migrated shape of the old
-// blocking SearchFor entry point.
+// searchFor resolves one pattern without reformulation (paper §2.3
+// SearchFor) and drains the stream into the aggregate ResultSet.
 func searchFor(ctx context.Context, issuer *mediation.Peer, q triple.Pattern) (*mediation.ResultSet, error) {
 	cur, err := issuer.Query(ctx, mediation.Request{Pattern: &q})
 	if err != nil {
@@ -54,8 +52,7 @@ func searchFor(ctx context.Context, issuer *mediation.Peer, q triple.Pattern) (*
 
 // searchWithReformulation resolves one pattern with mapping traversal and
 // drains the stream into the aggregate ResultSet the recall and latency
-// experiments score — the migrated shape of the old blocking
-// SearchWithReformulation entry point.
+// experiments score.
 func searchWithReformulation(ctx context.Context, issuer *mediation.Peer, q triple.Pattern, opts mediation.SearchOptions) (*mediation.ResultSet, error) {
 	cur, err := issuer.Query(ctx, mediation.Request{Pattern: &q, Reformulate: true, Options: opts})
 	if err != nil {

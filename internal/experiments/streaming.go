@@ -80,7 +80,7 @@ type StreamingResult struct {
 	Match   bool `json:"streamed_matches_blocking"`
 
 	// Pattern-query streaming: time to first row vs draining the cursor vs
-	// the deprecated blocking aggregate.
+	// collecting the whole answer before returning (CollectPattern).
 	FirstRowMs      float64 `json:"first_row_ms"`
 	FullWallMs      float64 `json:"full_wall_ms"`
 	BlockingWallMs  float64 `json:"blocking_wall_ms"`

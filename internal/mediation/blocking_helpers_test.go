@@ -7,11 +7,9 @@ import (
 	"gridvine/internal/triple"
 )
 
-// Test-side ports of the deprecated blocking search wrappers: each drives
-// the streaming entry point and drains the cursor into the historical
-// aggregate, so engine tests exercise Query directly instead of the
-// deprecated methods. TestBlockingWrappersMatchQuery keeps the deprecated
-// wrappers themselves covered against these semantics.
+// Whole-answer test helpers: each drives the streaming entry point and
+// drains the cursor through a Collect* helper, so engine tests compare
+// complete answers.
 
 func blockingSearchFor(p *Peer, q triple.Pattern) (*ResultSet, error) {
 	ctx := context.Background()

@@ -130,55 +130,10 @@ func (s *ConjunctiveStats) add(o ConjunctiveStats) {
 	s.Degraded = s.Degraded || o.Degraded
 }
 
-// SearchConjunctive resolves a conjunctive query — a list of triple
-// patterns sharing variables — through the planning engine (selectivity
-// ordering, bound-value pushdown, hash joins) and returns the joined
-// bindings plus the total message cost. Reformulation applies per pattern
-// when reformulate is set.
-//
-// Bindings carry set semantics: duplicate rows (two triples differing only
-// at non-variable positions, e.g. under a LIKE term) collapse, where the
-// seed's evaluator returned one binding per matching triple. The message
-// count includes data-transfer chunk accounting (see ResponseChunk), not
-// just routing hops.
-//
-// Deprecated: SearchConjunctive is a thin wrapper over Query with
-// context.Background(); use Query for cancellation, deadlines, Limit and
-// streaming consumption.
-func (p *Peer) SearchConjunctive(patterns []triple.Pattern, reformulate bool, opts SearchOptions) ([]triple.Bindings, int, error) {
-	bs, stats, err := p.SearchConjunctiveSet(patterns, reformulate, opts)
-	if err != nil {
-		return nil, stats.TotalMessages(), err
-	}
-	return bs.ToBindings(), stats.TotalMessages(), nil
-}
-
-// SearchConjunctiveSet is SearchConjunctive returning the flattened
-// binding representation and full execution statistics — the entry point
-// the RDQL layer projects from.
-//
-// Deprecated: SearchConjunctiveSet is a thin wrapper over Query with
-// context.Background(): it drains the cursor and rebuilds the sorted
-// binding set the blocking engine always returned. Use Query to consume
-// rows as join stages complete.
-func (p *Peer) SearchConjunctiveSet(patterns []triple.Pattern, reformulate bool, opts SearchOptions) (*triple.BindingSet, ConjunctiveStats, error) {
-	if len(patterns) == 0 {
-		return nil, ConjunctiveStats{}, errors.New("mediation: empty conjunctive query")
-	}
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-	if err != nil {
-		return nil, ConjunctiveStats{}, err
-	}
-	return CollectSet(ctx, cur)
-}
-
-// CollectSet drains a conjunctive or RDQL cursor under ctx and rebuilds
-// the sorted BindingSet the blocking engine always returned, alongside the
-// full execution statistics. It closes the cursor. Callers migrating off
-// SearchConjunctiveSet pair it with Peer.Query when they want the whole
-// join result at once.
+// CollectSet drains a conjunctive or RDQL cursor under ctx into a sorted
+// BindingSet, alongside the full execution statistics. It closes the
+// cursor. Callers pair it with Peer.Query when they want the whole join
+// result at once.
 func CollectSet(ctx context.Context, cur *Cursor) (*triple.BindingSet, ConjunctiveStats, error) {
 	var rows [][]string
 	for {
@@ -209,12 +164,12 @@ type rowSink struct {
 	emit func([]string) bool
 }
 
-// streamConjunctive is the conjunctive engine behind both the cursor and
-// the blocking wrapper: it plans and executes the query with ctx threaded
-// through every overlay operation, streaming joined rows through sink as
-// the final join stage produces them. Single-component queries whose last
-// pattern resolves by pushdown emit incrementally per lookup chunk;
-// everything else emits once its (ctx-interruptible) pipeline completes.
+// streamConjunctive is the conjunctive engine behind the cursor: it plans
+// and executes the query with ctx threaded through every overlay
+// operation, streaming joined rows through sink as the final join stage
+// produces them. Single-component queries whose last pattern resolves by
+// pushdown emit incrementally per lookup chunk; everything else emits once
+// its (ctx-interruptible) pipeline completes.
 func (p *Peer) streamConjunctive(ctx context.Context, patterns []triple.Pattern, reformulate bool, opts SearchOptions, sink rowSink) (ConjunctiveStats, error) {
 	opts = opts.withDefaults()
 	var stats ConjunctiveStats

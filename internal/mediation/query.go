@@ -183,50 +183,12 @@ func (rs *ResultSet) Triples() []triple.Triple {
 	return out
 }
 
-// SearchFor resolves a single triple pattern without reformulation:
-// the key space is derived from the most specific constant, the query is
-// shipped there, and the responsible peer answers from its local database
-// (paper §2.3: SearchFor(x? : (s, p, o))).
-//
-// Deprecated: SearchFor is a thin wrapper over Query with
-// context.Background() — it cannot be cancelled, given a deadline, or
-// consumed incrementally. New code should use Query.
-func (p *Peer) SearchFor(q triple.Pattern) (*ResultSet, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
-}
-
-// SearchWithReformulation resolves a pattern and additionally traverses the
-// network of schema mappings, rewriting the predicate by view unfolding and
-// re-issuing the query against semantically related schemas, aggregating
-// all results (paper §3, Figure 2; §4 for the two strategies).
-//
-// Deprecated: SearchWithReformulation is a thin wrapper over Query with
-// context.Background() — it blocks until every reformulation wave
-// completes. New code should use Query, which streams results as waves
-// finish and honours cancellation, deadlines, and Limit.
-func (p *Peer) SearchWithReformulation(q triple.Pattern, opts SearchOptions) (*ResultSet, error) {
-	//gridvine:serverctx deprecated blocking wrapper whose documented contract is an uncancellable call
-	ctx := context.Background()
-	cur, err := p.Query(ctx, Request{Pattern: &q, Reformulate: true, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return CollectPattern(ctx, cur)
-}
-
-// CollectPattern drains a pattern-request cursor under ctx and rebuilds
-// the aggregate ResultSet the blocking search methods have always
-// returned: every streamed raw result collected in order, deduplicated
-// (best confidence per triple) when the mapping traversal ran, plus the
-// message and route accounting from the cursor's summary. It closes the
-// cursor. Callers migrating off SearchFor/SearchWithReformulation pair it
-// with Peer.Query when they want the whole answer at once.
+// CollectPattern drains a pattern-request cursor under ctx into an
+// aggregate ResultSet: every streamed raw result collected in order,
+// deduplicated (best confidence per triple) when the mapping traversal
+// ran, plus the message and route accounting from the cursor's summary.
+// It closes the cursor. Callers pair it with Peer.Query when they want
+// the whole answer at once.
 func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	var results []Result
 	for {
@@ -242,8 +204,7 @@ func CollectPattern(ctx context.Context, cur *Cursor) (*ResultSet, error) {
 	rs, traversed := cur.pattern, cur.traversed
 	cur.mu.Unlock()
 	if rs == nil {
-		// The engine had no result set to report (e.g. ErrNotRoutable),
-		// matching the blocking methods' historical nil return.
+		// The engine had no result set to report (e.g. ErrNotRoutable).
 		return nil, err
 	}
 	rs.Results = results
@@ -284,16 +245,16 @@ func (p *Peer) searchForFiltered(ctx context.Context, q triple.Pattern, filters 
 }
 
 // streamPattern is the single pattern-search engine behind the streaming
-// cursor, the blocking wrappers, and the conjunctive engine's per-pattern
+// cursor, CollectPattern, and the conjunctive engine's per-pattern
 // lookups: it resolves q — traversing the mapping network when reformulate
 // is set — delivering every raw (undeduplicated) result through emit in
 // deterministic order, and returns the ResultSet skeleton (Query, Messages,
 // Reformulations, Route; Results stays empty — they went through emit).
 //
 // traversed reports whether the mapping-graph traversal ran, i.e. whether an
-// aggregating caller must apply dedupeResults to reproduce the blocking
-// aggregate answer. A nil *ResultSet (with ErrNotRoutable) mirrors the
-// blocking methods' contract for patterns without a routable constant.
+// aggregating caller must apply dedupeResults to build the aggregate
+// answer. A nil *ResultSet (with ErrNotRoutable) marks a pattern without a
+// routable constant.
 //
 // Cancelling ctx stops the traversal between hops and between waves: the
 // results already emitted stand, and ctx.Err() is returned.
@@ -328,10 +289,10 @@ func emitAll(rs *ResultSet, emit emitResult) {
 	rs.Results = nil
 }
 
-// searchPattern resolves one pattern exactly as the deprecated blocking
-// search methods do — collecting, deduplicating and ordering the streamed
-// results — with ctx threaded through every hop. It is the conjunctive
-// engine's per-pattern primitive.
+// searchPattern resolves one pattern exactly as CollectPattern aggregates
+// it — collecting, deduplicating and ordering the streamed results — with
+// ctx threaded through every hop. It is the conjunctive engine's
+// per-pattern primitive.
 func (p *Peer) searchPattern(ctx context.Context, q triple.Pattern, filters []VarFilter, reformulate bool, opts SearchOptions) (*ResultSet, error) {
 	var collected []Result
 	rs, traversed, err := p.streamPattern(ctx, q, filters, reformulate, opts, func(r Result) bool {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -73,8 +72,8 @@ func waitNoLeak(t *testing.T, baseline int) {
 }
 
 // TestQueryPatternStreamsPerWave: a reformulation chain streams its first
-// row before the traversal completes, and the blocking wrapper returns the
-// byte-identical aggregate.
+// row before the traversal completes, and CollectPattern aggregates the
+// same answer.
 func TestQueryPatternStreamsPerWave(t *testing.T) {
 	_, peers := chainNetwork(t, 5, 11)
 	issuer := peers[20]
@@ -113,15 +112,15 @@ func TestQueryPatternStreamsPerWave(t *testing.T) {
 		t.Errorf("first-row %v vs elapsed %v", st.FirstRow, st.Elapsed)
 	}
 
-	// The deprecated wrapper aggregates the same stream. (Message counts
+	// CollectPattern aggregates the same stream. (Message counts
 	// are not compared: routing tie-break randomness advances between runs,
 	// so two executions of the same query may spend different hop counts.)
 	rs, err := blockingSearchReformulated(issuer, q, SearchOptions{})
 	if err != nil {
-		t.Fatalf("SearchWithReformulation: %v", err)
+		t.Fatalf("collected reformulated search: %v", err)
 	}
 	if len(rs.Results) != 5 || rs.Messages == 0 || rs.Reformulations != st.Reformulations {
-		t.Errorf("wrapper: %d results, %d msgs, %d reforms; cursor stats %+v",
+		t.Errorf("collected: %d results, %d msgs, %d reforms; cursor stats %+v",
 			len(rs.Results), rs.Messages, rs.Reformulations, st)
 	}
 }
@@ -300,107 +299,6 @@ func TestQueryConjunctiveLimitCutsLookups(t *testing.T) {
 	}
 }
 
-// TestBlockingWrappersMatchQuery is the wrapper-equality property test: for
-// every pattern order × reformulation × parallelism, the deprecated
-// blocking methods return exactly what draining Query and aggregating
-// yields — and the planner still matches the naive evaluator.
-//
-//gridvine:allowdeprecated wrapper-equivalence test: the deprecated blocking methods are the subject under test
-func TestBlockingWrappersMatchQuery(t *testing.T) {
-	_, peers := testNetwork(t, 16, 16)
-	p := peers[0]
-	for i := 0; i < 12; i++ {
-		subj := fmt.Sprintf("acc:W%03d", i)
-		mustInsert(t, p, subj, "A#org", fmt.Sprintf("species-%d", i%3))
-		mustInsert(t, p, subj, "A#len", fmt.Sprint(100+i))
-		if i%2 == 0 {
-			mustInsert(t, p, subj, "B#name", fmt.Sprintf("species-%d", i%3))
-		}
-	}
-	if _, err := p.InsertMappingContext(context.Background(), testMapping("A", "B", "org", "name")); err != nil {
-		t.Fatalf("InsertMapping: %v", err)
-	}
-
-	base := []triple.Pattern{
-		{S: triple.Var("x"), P: triple.Const("A#org"), O: triple.Const("species-1")},
-		{S: triple.Var("x"), P: triple.Const("A#len"), O: triple.Var("len")},
-	}
-	orders := [][]triple.Pattern{
-		{base[0], base[1]},
-		{base[1], base[0]},
-	}
-	issuer := peers[7]
-
-	for oi, patterns := range orders {
-		for _, reformulate := range []bool{false, true} {
-			for _, par := range []int{1, 0} {
-				name := fmt.Sprintf("order=%d/reformulate=%v/par=%d", oi, reformulate, par)
-				opts := SearchOptions{Parallelism: par}
-
-				// Conjunctive wrapper vs drained cursor.
-				bs, _, err := issuer.SearchConjunctiveSet(patterns, reformulate, opts)
-				if err != nil {
-					t.Fatalf("%s: SearchConjunctiveSet: %v", name, err)
-				}
-				cur, err := issuer.Query(context.Background(), Request{Patterns: patterns, Reformulate: reformulate, Options: opts})
-				if err != nil {
-					t.Fatalf("%s: Query: %v", name, err)
-				}
-				var rows [][]string
-				for {
-					row, ok := cur.Next(context.Background())
-					if !ok {
-						break
-					}
-					rows = append(rows, row.Values)
-				}
-				cur.Close()
-				if err := cur.Err(); err != nil {
-					t.Fatalf("%s: cursor: %v", name, err)
-				}
-				got := &triple.BindingSet{Vars: cur.Columns(), Rows: rows}
-				got.SortRows()
-				if !reflect.DeepEqual(bs.Vars, got.Vars) || !reflect.DeepEqual(bs.Rows, got.Rows) {
-					t.Errorf("%s: wrapper bindings diverge from cursor\nwrapper: %v %v\ncursor:  %v %v",
-						name, bs.Vars, bs.Rows, got.Vars, got.Rows)
-				}
-
-				// And against the naive evaluator (order-insensitive anchor).
-				naive, _, err := issuer.SearchConjunctiveNaive(context.Background(), patterns, reformulate, opts)
-				if err != nil {
-					t.Fatalf("%s: naive: %v", name, err)
-				}
-				if !sameBindingsSet(t, naive, bs.ToBindings()) {
-					t.Errorf("%s: planner != naive", name)
-				}
-
-				// Pattern wrapper vs drained cursor.
-				q := patterns[0]
-				var want *ResultSet
-				if reformulate {
-					want, err = issuer.SearchWithReformulation(q, opts)
-				} else {
-					want, err = issuer.SearchFor(q)
-				}
-				if err != nil {
-					t.Fatalf("%s: blocking pattern search: %v", name, err)
-				}
-				pcur, err := issuer.Query(context.Background(), Request{Pattern: &q, Reformulate: reformulate, Options: opts})
-				if err != nil {
-					t.Fatalf("%s: pattern Query: %v", name, err)
-				}
-				pgot, err := CollectPattern(context.Background(), pcur)
-				if err != nil {
-					t.Fatalf("%s: collect: %v", name, err)
-				}
-				if !reflect.DeepEqual(want, pgot) {
-					t.Errorf("%s: pattern wrapper diverges:\nwant %+v\ngot  %+v", name, want, pgot)
-				}
-			}
-		}
-	}
-}
-
 // TestQueryRDQLLimit wires an RDQL LIMIT clause through the streaming
 // engine.
 func TestQueryRDQLLimit(t *testing.T) {
@@ -516,30 +414,4 @@ func mustInsert(t *testing.T, p *Peer, s, pred, o string) {
 	if _, err := p.InsertTripleContext(context.Background(), triple.Triple{Subject: s, Predicate: pred, Object: o}); err != nil {
 		t.Fatalf("InsertTriple(%s,%s,%s): %v", s, pred, o, err)
 	}
-}
-
-// sameBindingsSet compares two binding lists as sets: the planner collapses
-// duplicate rows where the naive evaluator keeps one binding per matching
-// triple, so only distinct membership is comparable.
-func sameBindingsSet(t *testing.T, a, b []triple.Bindings) bool {
-	t.Helper()
-	key := func(bs triple.Bindings) string {
-		return fmt.Sprintf("%v", bs)
-	}
-	am, bm := map[string]bool{}, map[string]bool{}
-	for _, x := range a {
-		am[key(x)] = true
-	}
-	for _, x := range b {
-		bm[key(x)] = true
-	}
-	if len(am) != len(bm) {
-		return false
-	}
-	for k := range am {
-		if !bm[k] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package mediation
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gridvine/internal/keyspace"
@@ -28,9 +29,9 @@ import (
 // returned Receipt records exactly which entries were applied, which
 // failed, and which were never attempted. No goroutine outlives Write.
 //
-// The historical per-entry methods (InsertTriple, DeleteTriple,
-// InsertSchema, InsertMapping, ReplaceMapping) survive as deprecated
-// wrappers that submit a one-entry batch.
+// The single-entry methods (InsertTripleContext, DeleteTripleContext,
+// InsertSchemaContext, InsertMappingContext, ReplaceMappingContext) submit
+// a one-entry batch.
 
 // Batch collects mutations for one Peer.Write. The zero value is an empty
 // batch ready for use; it must not be shared across concurrent Writes.
@@ -83,9 +84,12 @@ func (b *Batch) PublishMapping(m schema.Mapping) {
 	b.entries = append(b.entries, writeEntry{kind: writePublishMapping, m: m})
 }
 
-// ReplaceMapping queues the substitution of updated for old (same ID):
-// deletions of the old version at its keys followed by insertions of the
-// updated one. ID equality is validated when the batch is written.
+// ReplaceMapping queues the substitution of updated for old (same ID): one
+// pgrid.OpReplace of the updated version at each of its keys, which drops
+// every stored version of the ID and inserts the update under one store
+// lock at each holder, plus a deletion of old at a key only old is indexed
+// under (a bidirectional mapping made unidirectional). ID equality is
+// validated when the batch is written.
 func (b *Batch) ReplaceMapping(old, updated schema.Mapping) {
 	b.entries = append(b.entries, writeEntry{kind: writeReplaceMapping, m: updated, old: old})
 }
@@ -164,9 +168,9 @@ type keyWrite struct {
 }
 
 // expand flattens the batch into key-writes: three per triple, one per
-// schema, one or two per mapping, deletions-then-insertions for
-// replacements. It validates replacement ID equality up front, so a Write
-// that returns a validation error has shipped nothing.
+// schema, one or two per mapping or replacement. It validates replacement
+// ID equality up front, so a Write that returns a validation error has
+// shipped nothing.
 func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
 	writes := make([]keyWrite, 0, 3*len(b.entries))
 	add := func(entry int, key keyspace.Key, op pgrid.Op, value any) {
@@ -202,11 +206,14 @@ func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
 			if e.old.ID != e.m.ID {
 				return nil, fmt.Errorf("mediation: replacing mapping %s with different mapping %s", e.old.ID, e.m.ID)
 			}
-			for _, k := range mappingKeys(e.old) {
-				add(i, k, pgrid.OpDelete, e.old)
+			keys := mappingKeys(e.m)
+			for _, k := range keys {
+				add(i, k, pgrid.OpReplace, e.m)
 			}
-			for _, k := range mappingKeys(e.m) {
-				add(i, k, pgrid.OpInsert, e.m)
+			for _, k := range mappingKeys(e.old) {
+				if !slices.ContainsFunc(keys, k.Equal) {
+					add(i, k, pgrid.OpDelete, e.old)
+				}
 			}
 		}
 	}
@@ -215,8 +222,8 @@ func (p *Peer) expand(b *Batch) ([]keyWrite, error) {
 
 // segmentWrites splits sorted key-writes into at most workers contiguous
 // segments of near-equal size, never splitting between equal keys (so
-// same-key ordering — a replacement's delete before its insert — survives
-// concurrent segment execution).
+// same-key ordering — a triple's insert before its deletion in the same
+// batch — survives concurrent segment execution).
 func segmentWrites(writes []keyWrite, workers int) [][]keyWrite {
 	if workers < 1 {
 		workers = 1

@@ -7,10 +7,14 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridvine/internal/keyspace"
+	"gridvine/internal/pgrid"
 	"gridvine/internal/schema"
+	"gridvine/internal/simnet"
 	"gridvine/internal/triple"
 )
 
@@ -161,8 +165,8 @@ func TestWriteShipsFewerMessages(t *testing.T) {
 	t.Logf("serial %d messages, batched %d (%d groups)", serialMsgs, batchMsgs, rec.Groups)
 }
 
-// TestWriteReplaceMapping: replacement through a batch preserves the
-// delete-then-insert semantics and the ID validation.
+// TestWriteReplaceMapping: replacement through a batch leaves only the
+// updated version stored and validates ID equality.
 func TestWriteReplaceMapping(t *testing.T) {
 	_, peers := testNetwork(t, 16, 42)
 	p := peers[0]
@@ -193,6 +197,117 @@ func TestWriteReplaceMapping(t *testing.T) {
 	bad.ReplaceMapping(m, other)
 	if _, err := p.Write(context.Background(), bad); err == nil {
 		t.Error("replacing with a different mapping ID must fail")
+	}
+}
+
+// TestReplaceMappingAtomicAtHolders: a replacement swaps mapping versions
+// in one store step at every holder. Every node's handler is wrapped to
+// count, on each message delivered during the replace, the versions of the
+// mapping's ID held by the responsible peer and each replica of the source
+// schema key: there must always be exactly one. Afterwards each key holds
+// exactly the versions the updated mapping is indexed under, so a
+// bidirectional → unidirectional replace drops the target-key copy.
+func TestReplaceMappingAtomicAtHolders(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bidi bool // updated.Bidirectional; the original is bidirectional
+	}{
+		{"deprecate", true},
+		{"bidirectional-to-unidirectional", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, peers := testNetwork(t, 16, 42)
+			m := testMapping("A", "B", "x", "y")
+			updated := m
+			updated.Deprecated = true
+			updated.Bidirectional = tc.bidi
+			srcKey, dstKey := peers[0].schemaKey("A"), peers[0].schemaKey("B")
+
+			holders := func(k keyspace.Key) []*pgrid.Node {
+				var hs []*pgrid.Node
+				for _, p := range peers {
+					if p.node.Responsible(k) {
+						hs = append(hs, p.node)
+					}
+				}
+				return hs
+			}
+			versions := func(n *pgrid.Node, k keyspace.Key) []schema.Mapping {
+				var out []schema.Mapping
+				for _, v := range n.LocalGet(k) {
+					if mm, ok := v.(schema.Mapping); ok && mm.ID == m.ID {
+						out = append(out, mm)
+					}
+				}
+				return out
+			}
+			var issuer *Peer
+			for _, p := range peers {
+				if !p.node.Responsible(srcKey) && !p.node.Responsible(dstKey) {
+					issuer = p
+					break
+				}
+			}
+			if _, err := issuer.InsertMappingContext(context.Background(), m); err != nil {
+				t.Fatalf("InsertMapping: %v", err)
+			}
+			srcHolders := holders(srcKey)
+			if len(srcHolders) < 2 {
+				t.Fatalf("source key has %d holders; the check needs a replica", len(srcHolders))
+			}
+
+			var watching atomic.Bool
+			var mu sync.Mutex
+			delivered, empty := 0, 0
+			for _, p := range peers {
+				n := p.node
+				net.Register(n.ID(), simnet.HandlerFunc(func(from simnet.PeerID, msg simnet.Message) (simnet.Message, error) {
+					if watching.Load() {
+						mu.Lock()
+						delivered++
+						ok := true
+						for _, h := range srcHolders {
+							if got := len(versions(h, srcKey)); got != 1 {
+								ok = false
+								t.Logf("%v message to %s: holder %s has %d versions of %s", msg.Type, n.ID(), h.ID(), got, m.ID)
+							}
+						}
+						if !ok {
+							empty++
+						}
+						mu.Unlock()
+					}
+					return n.HandleMessage(from, msg)
+				}))
+			}
+			watching.Store(true)
+			err := issuer.ReplaceMappingContext(context.Background(), m, updated)
+			watching.Store(false)
+			if err != nil {
+				t.Fatalf("ReplaceMapping: %v", err)
+			}
+			if delivered == 0 {
+				t.Fatal("no message was delivered during the replace; the check saw nothing")
+			}
+			if empty > 0 {
+				t.Errorf("%d of %d deliveries found a holder without exactly one version of the mapping", empty, delivered)
+			}
+
+			for _, h := range srcHolders {
+				if got := versions(h, srcKey); !reflect.DeepEqual(got, []schema.Mapping{updated}) {
+					t.Errorf("source holder %s keeps %+v, want only the replacement", h.ID(), got)
+				}
+			}
+			for _, h := range holders(dstKey) {
+				got := versions(h, dstKey)
+				if tc.bidi && !reflect.DeepEqual(got, []schema.Mapping{updated}) {
+					t.Errorf("target holder %s keeps %+v, want only the replacement", h.ID(), got)
+				}
+				if !tc.bidi && len(got) != 0 {
+					t.Errorf("target holder %s keeps %+v after the mapping became unidirectional", h.ID(), got)
+				}
+			}
+		})
 	}
 }
 

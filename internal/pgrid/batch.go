@@ -21,8 +21,7 @@ import (
 // peer, which applies it under one lock pass and synchronizes each replica
 // with one message. Routed message count collapses from the number of
 // entries toward the number of distinct responsible peers — and a run of
-// one (the deprecated per-entry write methods) costs exactly the one routed
-// operation it always did.
+// one (a single-entry write) costs exactly one routed operation.
 
 // BatchStatus is the terminal state of one WriteBatch entry.
 type BatchStatus int8

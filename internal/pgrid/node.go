@@ -579,10 +579,10 @@ func (n *Node) applyBatch(entries []BatchEntry, checkResponsible bool) []int {
 // applyBatchLocal performs the store mutations of a batch under one lock
 // acquisition, then fires the batch store hook once with every change (or
 // the per-mutation hook for each, when no batch hook is set). Entries are
-// applied in slice order, so same-key delete/insert sequences (mapping
-// replacement) keep their submission semantics. Entries whose key fails to
-// parse, or — under checkResponsible — lies outside the node's path, are
-// not applied.
+// applied in slice order, so same-key insert/delete sequences (a triple
+// inserted then deleted in one batch) keep their submission semantics.
+// Entries whose key fails to parse, or — under checkResponsible — lies
+// outside the node's path, are not applied.
 func (n *Node) applyBatchLocal(entries []BatchEntry, checkResponsible bool) []int {
 	applied := make([]int, 0, len(entries))
 	var muts []StoreMutation

@@ -177,6 +177,15 @@ func mappingID(m Mapping) string {
 	return "map-" + hex.EncodeToString(sum[:8])
 }
 
+// Replaces reports whether m supersedes the stored value old: any version
+// of the same mapping (same ID). This makes Mapping a pgrid.Replacer, so a
+// replacement swaps versions under one store lock at each holder and no
+// holder is ever left without a version.
+func (m Mapping) Replaces(old any) bool {
+	o, ok := old.(Mapping)
+	return ok && o.ID == m.ID
+}
+
 // TranslateAttr maps a source attribute to its target attribute.
 func (m Mapping) TranslateAttr(sourceAttr string) (string, bool) {
 	for _, c := range m.Correspondences {

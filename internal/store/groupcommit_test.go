@@ -153,10 +153,10 @@ func TestGroupCommitRecoversAllRecords(t *testing.T) {
 }
 
 // TestNoGroupCommitOneSyncPerAppend pins the baseline arm: with
-// NoGroupCommit every append pays exactly one fsync.
+// noGroupCommit every append pays exactly one fsync.
 func TestNoGroupCommitOneSyncPerAppend(t *testing.T) {
 	fs := NewMemFS()
-	l, _, err := Open(fs, "d", Options{SnapshotEvery: -1, NoGroupCommit: true})
+	l, _, err := Open(fs, "d", Options{SnapshotEvery: -1, noGroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +264,5 @@ func BenchmarkWALAppendGroupCommit(b *testing.B) {
 }
 
 func BenchmarkWALAppendSerialFsync(b *testing.B) {
-	benchmarkAppends(b, Options{SnapshotEvery: -1, NoGroupCommit: true})
+	benchmarkAppends(b, Options{SnapshotEvery: -1, noGroupCommit: true})
 }

@@ -27,10 +27,11 @@ type Options struct {
 	// about one snapshot's worth of WAL. 0 selects the default (256);
 	// negative disables automatic snapshots.
 	SnapshotEvery int
-	// NoGroupCommit makes every Append pay its own fsync while holding
-	// the log lock (the pre-group-commit behaviour). Kept as the
-	// baseline arm of the group-commit microbenchmark.
-	NoGroupCommit bool
+
+	// noGroupCommit makes every Append pay its own fsync while holding
+	// the log lock (the pre-group-commit behaviour): the serial reference
+	// the group-commit tests and microbenchmark compare against.
+	noGroupCommit bool
 }
 
 const defaultSnapshotEvery = 256
@@ -101,7 +102,7 @@ type Log struct {
 	snapshots   int64
 	snapTime    time.Duration
 	snapEvery   int
-	serial      bool // Options.NoGroupCommit
+	serial      bool // Options.noGroupCommit
 	source      func() (items, tombs []Entry)
 	err         error
 	closed      bool
@@ -191,7 +192,7 @@ func Open(fsys FS, dir string, opts Options) (*Log, *Recovery, error) {
 		walBytes:   int64(goodLen),
 		snapBytes:  snapBytes,
 		snapEvery:  snapEvery,
-		serial:     opts.NoGroupCommit,
+		serial:     opts.noGroupCommit,
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l, rec, nil
